@@ -20,11 +20,13 @@
 //!   times to absorb scheduling noise on a single-core host);
 //! * exact `spawned + inlined + elided` fork accounting for the scan and
 //!   pack primitives via [`assert_metrics_consistent`];
-//! * exact BFS and CC fork counts under the adaptive grain policy, on a
-//!   path graph where the per-level counts are closed-form — both on the
-//!   default adaptive pool (cost floor ⇒ zero forks) and with the grain
-//!   pinned to 1 via [`PalPoolBuilder::grain`] (legacy 4p blocking ⇒
-//!   `2·(n − 2)` forks), proving the policy stays a pure function of
+//! * exact BFS and CC fork counts under the adaptive grain policy, on
+//!   shapes where the per-level counts are closed-form — both on the
+//!   default adaptive pool and with the grain pinned to 1 via
+//!   [`PalPoolBuilder::grain`] (legacy 4p blocking): a path graph, whose
+//!   sub-grain levels all run inline (zero forks), and a star with
+//!   `DEFAULT_STEAL_GRAIN` leaves (`6·(C − 1)` forks for `C =
+//!   chunk_count(n − 1)`), proving the policy stays a pure function of
 //!   `(len, p, configuration)` and never of the schedule.
 //!
 //! [`PalPoolBuilder::grain`]: lopram_core::PalPoolBuilder::grain
@@ -32,6 +34,7 @@
 use std::time::Duration;
 
 use lopram_bench::measure;
+use lopram_core::policy::DEFAULT_STEAL_GRAIN;
 use lopram_core::{assert_metrics_consistent, MetricsSnapshot, PalPool};
 use lopram_graph::prelude::*;
 
@@ -245,32 +248,37 @@ fn main() {
         }
 
         // BFS/CC fork counts stay exact under the adaptive grain policy.
-        // On a path graph every frontier is a single vertex and every
-        // candidate buffer holds at most two entries, so the per-level
-        // block counts — and hence the whole kernel's fork count — are
-        // closed-form.
+        // On a path graph every frontier is a single vertex, so every
+        // level sits below the steal grain and runs inline on the caller:
+        // zero forks end to end, whatever the pool's grain.
         let n = 64usize;
         let path_graph = path(n);
         let expected_dist = bfs_seq(&path_graph, 0);
+        // A star whose hub has one steal grain of leaves runs exactly two
+        // forking levels: the hub's level (one frontier vertex, so only
+        // the pack over its n − 1 claimed candidates splits: 2·(C − 1))
+        // and the leaves' level (n − 1 frontier vertices: 3·(C − 1) for
+        // the degree map and the expansion, plus C − 1 for a pack with
+        // no survivors), with C = chunk_count(n − 1) — 6·(C − 1) in all.
+        let leaves = DEFAULT_STEAL_GRAIN;
+        let star_graph = star(leaves + 1);
+        let star_dist = bfs_seq(&star_graph, 0);
         for p in [1usize, 2, 4] {
-            // Default adaptive pool: every per-level input sits below the
-            // cost-model floor — one block per pass, zero forks, end to
-            // end, at every p.
-            let pool = PalPool::new(p).expect("p >= 1");
-            assert_eq!(bfs_par(&path_graph, &pool, 0), expected_dist);
-            assert_metrics_consistent(pool.metrics(), 0);
-
-            // Grain pinned to 1 via the builder (the legacy 4p blocking):
-            // the only multi-block pass is the pack over the 2-candidate
-            // buffer of each of the n − 2 interior levels — 2 blocks × 2
-            // passes = 2 forks per level, independent of p and schedule.
-            let pool = PalPool::builder()
+            let adaptive = PalPool::new(p).expect("p >= 1");
+            // Grain pinned to 1 via the builder (the legacy 4p blocking).
+            let pinned = PalPool::builder()
                 .processors(p)
                 .grain(1)
                 .build()
                 .expect("p >= 1");
-            assert_eq!(bfs_par(&path_graph, &pool, 0), expected_dist);
-            assert_metrics_consistent(pool.metrics(), 2 * (n as u64 - 2));
+            for pool in [adaptive, pinned] {
+                assert_eq!(bfs_par(&path_graph, &pool, 0), expected_dist);
+                assert_metrics_consistent(pool.metrics(), 0);
+                assert_eq!(bfs_par(&star_graph, &pool, 0), star_dist);
+                let star_forks = 6 * (pool.chunk_count(leaves) as u64 - 1);
+                assert!(star_forks > 0, "p = {p}: the star must fork");
+                assert_metrics_consistent(pool.metrics(), star_forks);
+            }
         }
         // CC fork accounting: at p = 1 the elided spawns run in creation
         // (ascending-index) order, so label propagation on a path

@@ -11,7 +11,9 @@
 //!   baseline;
 //! * [`solve_wavefront`] — partition the DAG into antichains (the dual of
 //!   Dilworth's theorem) and evaluate each antichain in parallel, level by
-//!   level;
+//!   level, in `grain_size(len, p, DEFAULT_GRAIN, 0)` blocks: an antichain
+//!   of one block runs inline on the caller, a wider one makes one
+//!   executor spawn per block;
 //! * [`solve_counter`] — the paper's **Algorithm 1**: every cell carries a
 //!   counter of outstanding dependencies, completed cells decrement their
 //!   neighbours' counters, and cells whose counter reaches zero are handed to
@@ -19,6 +21,13 @@
 //! * [`solve_memoized`] — the top-down **parallel memoization** of §4.5, with
 //!   "in progress" markers and wait-for-notification on cells another
 //!   processor is already computing.
+//!
+//! The bottom-up solvers share one flat dependency structure per solve — a
+//! gather of every cell's dependencies into one array, a
+//! counting-sort successor CSR and a Kahn layering into one `order` array
+//! with antichain bounds — with no per-cell lock or adjacency vector (see
+//! [`solver`]).  [`dependency_dag`] materialises the same gather as an
+//! explicit [`lopram_analysis::Dag`] for analysis.
 //!
 //! The [`problems`] module provides classic dynamic programs covering the
 //! spectrum of DAG shapes §4.6 discusses: two-dimensional tables with

@@ -11,6 +11,11 @@
 //! through `PalPool::join`, so the kernel inherits the `⌈α·log₂ p⌉`
 //! sequential cutoff and full `RunMetrics` fork accounting.
 //!
+//! Levels too small to pay for a second processor — frontier length and
+//! frontier degree sum both below one steal grain — skip the primitives
+//! and run as one sequential sweep on the caller (see [`bfs_par`]), so a
+//! high-diameter graph's hundreds of tiny levels wake no worker.
+//!
 //! Every per-level buffer — frontier, degrees, candidates, and the
 //! distance array itself — is checked out of the pool's
 //! [`Workspace`](lopram_core::Workspace) arena and reused across levels
@@ -23,6 +28,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use lopram_core::policy::DEFAULT_STEAL_GRAIN;
 use lopram_core::runtime::cancel;
 use lopram_core::{run_cancellable, CancelReason, CancelToken, PalPool};
 
@@ -71,6 +77,23 @@ pub fn bfs_seq(graph: &CsrGraph, src: usize) -> Vec<usize> {
 /// across levels and calls: after the first level warms the arena, a
 /// level allocates nothing (see the module docs).
 ///
+/// **Sub-grain levels run inline.**  A level whose frontier length *and*
+/// frontier degree sum are both below [`DEFAULT_STEAL_GRAIN`] is one
+/// plain sequential sweep on the caller: no primitive passes, no forks,
+/// no worker wakeups (the §3.1 rule that work too small to pay for a
+/// processor is never handed to one, applied to the frontier).  The rule
+/// depends on the graph and the frontier only — not on `p`, not on the
+/// pool's grain — so every pool makes the same inline decisions and a
+/// trace captured at one `(p, grain)` replays exactly at another.
+///
+/// Exact fork cost, schedule-independent: an inline level forks 0 times;
+/// any other level with frontier `F`, degree sum `D` and next frontier
+/// `N` forks `3·(C(|F|) − 1)` for its degree map and expansion, plus
+/// `C(D) − 1` for the candidate pack when `D > 0` and `N` is empty, or
+/// `2·(C(D) − 1)` when `N` is not, where `C` is
+/// [`PalPool::chunk_count`].  A path, a grid or a small tree thus runs
+/// with zero forks end to end.
+///
 /// # Panics
 ///
 /// Panics if `src` is not a vertex of `graph`.
@@ -94,6 +117,21 @@ pub fn bfs_par(graph: &CsrGraph, pool: &PalPool, src: usize) -> Vec<usize> {
         // checkpoint at their own fork and chunk boundaries too.
         cancel::checkpoint();
         level += 1;
+        if runs_inline(graph, &frontier) {
+            // No other task touches `dist` during an inline level, so a
+            // relaxed load and store replace the claiming CAS.
+            next.clear();
+            for &u in frontier.iter() {
+                for &v in graph.neighbors(u) {
+                    if dist[v].load(Ordering::Relaxed) == UNREACHED {
+                        dist[v].store(level, Ordering::Relaxed);
+                        next.push(v);
+                    }
+                }
+            }
+            std::mem::swap(&mut frontier, &mut next);
+            continue;
+        }
         let frontier_ref: &[usize] = &frontier;
         let dist_ref: &[AtomicUsize] = &dist;
         pool.map_collect_in(
@@ -120,6 +158,18 @@ pub fn bfs_par(graph: &CsrGraph, pool: &PalPool, src: usize) -> Vec<usize> {
         std::mem::swap(&mut frontier, &mut next);
     }
     dist.iter().map(|d| d.load(Ordering::Relaxed)).collect()
+}
+
+/// `true` when a BFS level over `frontier` is below one steal grain in
+/// both its vertex count and its degree sum — too little work to pay for
+/// a second processor — and so runs inline on the caller.  The degree sum
+/// is only computed for frontiers already below the bound.
+///
+/// The rule reads the graph and the frontier only, never `p` or the
+/// pool's grain, so every pool makes the same inline decisions.
+fn runs_inline(graph: &CsrGraph, frontier: &[usize]) -> bool {
+    frontier.len() < DEFAULT_STEAL_GRAIN
+        && frontier.iter().map(|&u| graph.degree(u)).sum::<usize>() < DEFAULT_STEAL_GRAIN
 }
 
 /// Cancellable entry point for [`bfs_par`]: runs the search under

@@ -4,6 +4,7 @@
 //! stream, and stay an observer — identical distances and identical
 //! schedule-independent counters as an untraced twin pool.
 
+use lopram_core::policy::DEFAULT_STEAL_GRAIN;
 use lopram_core::{PalPool, TraceConfig};
 use lopram_graph::prelude::*;
 
@@ -15,16 +16,53 @@ fn traced_pool(p: usize) -> PalPool {
         .unwrap()
 }
 
+/// Exact pass count of [`bfs_par`] from `src`, from the BFS level sizes:
+/// a level whose frontier length and degree sum are both below
+/// `DEFAULT_STEAL_GRAIN` runs inline and records no pass; any other level
+/// records one degree map and two expansion passes, plus the candidate
+/// pack — none when there are no candidates, one when none survives, two
+/// otherwise.
+fn bfs_passes(graph: &CsrGraph, src: usize) -> u64 {
+    let dist = bfs_seq(graph, src);
+    let mut frontiers = vec![Vec::new(); levels(&dist) + 2];
+    for (v, &d) in dist.iter().enumerate() {
+        if d != UNREACHED {
+            frontiers[d].push(v);
+        }
+    }
+    frontiers
+        .windows(2)
+        .map(|w| {
+            let (frontier, next) = (&w[0], &w[1]);
+            let degrees: usize = frontier.iter().map(|&u| graph.degree(u)).sum();
+            if frontier.len() < DEFAULT_STEAL_GRAIN && degrees < DEFAULT_STEAL_GRAIN {
+                0
+            } else if degrees == 0 {
+                3
+            } else if next.is_empty() {
+                4
+            } else {
+                5
+            }
+        })
+        .sum()
+}
+
 #[test]
 fn traced_bfs_reproduces_metrics_on_every_shape() {
     let shapes: Vec<(&str, CsrGraph)> = vec![
         ("gnm", gnm(1024, 4096, 7)),
+        ("gnm-wide", gnm(16_384, 65_536, 7)),
         ("grid", grid(24, 24)),
         ("star", star(512)),
+        ("star-wide", star(DEFAULT_STEAL_GRAIN + 1)),
         ("tree", binary_tree(511)),
     ];
     for (name, graph) in &shapes {
         let expected = bfs_seq(graph, 0);
+        if name.ends_with("-wide") {
+            assert!(bfs_passes(graph, 0) > 0, "{name}: some level must fork");
+        }
         for p in [1usize, 2, 4] {
             let pool = traced_pool(p);
             assert_eq!(&bfs_par(graph, &pool, 0), &expected, "{name}, p = {p}");
@@ -42,7 +80,9 @@ fn traced_bfs_reproduces_metrics_on_every_shape() {
             // fork count is exactly the pass-fork count — the property
             // that makes its replay predictions exact at any (p, grain).
             assert_eq!(s.forks, s.pass_forks, "{name}, p = {p}: all pass forks");
-            assert!(s.passes > 0, "{name}, p = {p}: levels record passes");
+            // Sub-grain levels run inline and record nothing; every other
+            // level records its passes, whatever p is.
+            assert_eq!(s.passes, bfs_passes(graph, 0), "{name}, p = {p}: passes");
             if p == 1 {
                 assert_eq!(s.steals, 0, "{name}: one processor cannot steal");
                 assert_eq!(s.elided, s.forks, "{name}: p = 1 elides everything");

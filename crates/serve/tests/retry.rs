@@ -13,7 +13,7 @@
 use std::error::Error;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lopram_core::{ChaosConfig, SelfHeal};
 use lopram_serve::{
@@ -276,24 +276,12 @@ fn retried_traffic_digests_match_a_clean_run() {
     }
 }
 
-/// Poll the service's pool health until `ok` holds, failing after 10s.
-fn wait_degraded(service: &JobService, alive: usize) {
-    let start = Instant::now();
-    while service.health().alive_workers != alive {
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "pool never degraded to {alive} alive; last {:?}",
-            service.health()
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
 #[test]
 fn degraded_pool_sheds_submissions_while_admitted_work_drains() {
-    // Worker 1 dies after its first stolen task; no respawn.  The
-    // trigger job's scan feeds it that task, so everything submitted
-    // before the trigger completes is admitted against a healthy pool.
+    // Worker 1 dies after the first task it runs; no respawn.  Whether a
+    // given job hands worker 1 a task depends on the schedule, so the
+    // kill is made certain below by feeding the pool trigger jobs until
+    // health shows it.
     let service = JobService::start(ServeConfig {
         processors: 2,
         executors: 1,
@@ -310,12 +298,35 @@ fn degraded_pool_sheds_submissions_while_admitted_work_drains() {
                 .expect("healthy pool admits")
         })
         .collect();
-    // Admitted work drains to completion on the survivors even though
-    // the kill fires mid-traffic.
+    // Admitted work drains to completion on the survivors even if the
+    // kill fires mid-traffic.
     for t in tickets {
         assert!(t.wait().outcome.is_ok());
     }
-    wait_degraded(&service, 1);
+    // Trigger jobs: a wide scan offers worker 1 many blocks to run, and
+    // each is admitted against a healthy pool and drains like the rest.
+    // The kill can publish between the health read and a submit; that
+    // submit is shed and counted.
+    let mut triggers = 0u64;
+    let mut shed = 0u64;
+    while service.health().alive_workers != 1 {
+        assert!(
+            triggers < 1000,
+            "pool never degraded to 1 alive after {triggers} trigger jobs; last {:?}",
+            service.health()
+        );
+        match service.submit(JobSpec::new(0, |cx: &JobContext<'_>| {
+            let data: Vec<u64> = (0..1u64 << 16).collect();
+            cx.pool().scan(&data, 0u64, |a, b| a.wrapping_add(*b)).total
+        })) {
+            Ok(t) => {
+                assert!(t.wait().outcome.is_ok());
+                triggers += 1;
+            }
+            Err(SubmitError::Degraded { .. }) => shed += 1,
+            Err(other) => panic!("trigger refused: {other:?}"),
+        }
+    }
     // Below the floor: new work is shed with the live numbers.
     match service.submit(JobSpec::new(0, job_body(99))) {
         Err(SubmitError::Degraded { alive, floor }) => {
@@ -324,8 +335,8 @@ fn degraded_pool_sheds_submissions_while_admitted_work_drains() {
         other => panic!("expected Degraded, got {other:?}"),
     }
     let stats = service.shutdown();
-    assert_eq!(stats.shed_degraded, 1);
-    assert_eq!(stats.completed, 6);
+    assert_eq!(stats.shed_degraded, shed + 1);
+    assert_eq!(stats.completed, 6 + triggers);
 }
 
 #[test]

@@ -19,16 +19,19 @@
 //!   cheap leaf against the rest of the chain) — maximally skewed join
 //!   structure, still configuration-independent, so cross-configuration
 //!   fork prediction must stay exact;
-//! * a **DP wavefront** (`PrefixChain` under `solve_wavefront`) — its
-//!   forks are `for_each_index` scope spawns, which the replayer carries
-//!   *as recorded*.  Spawn counts are a pure function of `(len, p)` but
-//!   `p`-*dependent* (`index_chunk_count`), so replay exactness holds at
+//! * a **DP wavefront** (`PrefixChain`, whose one-cell antichains run
+//!   inline, and a 520-letter `EditDistance`, whose widest anti-diagonals
+//!   split into blocks, under `solve_wavefront`) — its forks are
+//!   `for_each_index` scope spawns, which the replayer carries *as
+//!   recorded*.  Spawn counts are a pure function of `(len, p)` but
+//!   `p`-*dependent* (`grain_size` blocks per antichain), so replay exactness holds at
 //!   the capture configuration (and against a fresh pool at the capture
 //!   `p`), while cross-`p` prediction is deliberately out of contract
 //!   for spawn-based workloads and excluded here.
 
+use lopram_core::policy::DEFAULT_GRAIN;
 use lopram_core::{DagTrace, PalPool, TraceConfig};
-use lopram_dp::prelude::{solve_sequential, solve_wavefront, PrefixChain};
+use lopram_dp::prelude::{solve_sequential, solve_wavefront, DpProblem, EditDistance, PrefixChain};
 use lopram_sim::replay::{ReplayGrain, TraceReplay};
 use proptest::prelude::*;
 
@@ -244,49 +247,81 @@ proptest! {
         }
     }
 
-    // A DP wavefront (PrefixChain): every fork is a `for_each_index`
-    // scope spawn the replayer carries as recorded.  Spawn counts are
-    // pure in (len, p) but p-dependent, so the contract here is capture
-    // fidelity, identity replay, steal-free p = 1, and fork exactness
-    // against a fresh pool at the *capture* p — cross-p prediction is
-    // out of contract for spawn-based workloads (see module docs).
+    // A DP wavefront (PrefixChain): a chain's antichains are one cell
+    // each, far below the grain, so the wavefront runs inline and the
+    // contract below holds with zero recorded forks (see
+    // `dp_wavefront_replay_is_exact_on_wide_antichains` for the spawning
+    // case).
     #[test]
     fn dp_wavefront_replay_is_exact_at_capture_config(
         len in 1usize..120,
         seed in 0i64..1000,
     ) {
         let values: Vec<i64> = (0..len as i64).map(|i| (i * 31 + seed) % 97 - 48).collect();
-        let problem = PrefixChain::new(values);
-        let expected = solve_sequential(&problem).goal;
-        for p in P_SWEEP {
-            let pool = traced_pool(p);
-            let solution = solve_wavefront(&problem, &pool);
-            prop_assert_eq!(solution.goal, expected, "wavefront diverged at p = {}", p);
-            let m = pool.metrics().snapshot();
-            let trace = pool.take_trace().expect("tracing was on");
-            assert_capture_fidelity(&trace, &m, p);
-
-            let replay = TraceReplay::from_trace(trace);
-            let recorded = replay.recorded();
-            let same = replay.predict(p, 2.0, ReplayGrain::Adaptive);
-            prop_assert!(same.at_capture_config, "p = {}", p);
-            prop_assert_eq!(same.forks, recorded.forks, "identity forks, p = {}", p);
-            prop_assert_eq!(same.steals, recorded.steals, "identity steals, p = {}", p);
-            let one = replay.predict(1, 2.0, ReplayGrain::Adaptive);
-            prop_assert_eq!(one.steals, 0u64, "p = {}", p);
-            prop_assert_eq!(one.scheduled, 0u64, "p = {}", p);
-            prop_assert_eq!(one.elided, one.forks, "p = {}", p);
-            // Replay exactness against a fresh measured pool at the
-            // capture configuration: spawn counts are deterministic at
-            // fixed p.
-            let fresh = PalPool::new(p).unwrap();
-            let fresh_solution = solve_wavefront(&problem, &fresh);
-            prop_assert_eq!(fresh_solution.goal, expected);
-            prop_assert_eq!(
-                same.forks,
-                fresh.metrics().forks(),
-                "fresh pool at capture p = {}", p
-            );
-        }
+        let recorded = assert_dp_replay_exact(&PrefixChain::new(values));
+        prop_assert_eq!(recorded, vec![0u64; P_SWEEP.len()]);
     }
+}
+
+/// A DP wavefront's forks are `for_each_index` scope spawns the replayer
+/// carries as recorded.  Spawn counts are pure in (len, p) but
+/// p-dependent, so the contract is capture fidelity, identity replay,
+/// steal-free p = 1, and fork exactness against a fresh pool at the
+/// *capture* p — cross-p prediction is out of contract for spawn-based
+/// workloads (see module docs).  Returns the recorded fork count per
+/// `P_SWEEP` entry.
+fn assert_dp_replay_exact<P: DpProblem>(problem: &P) -> Vec<u64>
+where
+    P::Value: PartialEq + std::fmt::Debug,
+{
+    let expected = solve_sequential(problem).goal;
+    let mut recorded_forks = Vec::new();
+    for p in P_SWEEP {
+        let pool = traced_pool(p);
+        let solution = solve_wavefront(problem, &pool);
+        assert_eq!(solution.goal, expected, "wavefront diverged at p = {p}");
+        let m = pool.metrics().snapshot();
+        let trace = pool.take_trace().expect("tracing was on");
+        assert_capture_fidelity(&trace, &m, p);
+
+        let replay = TraceReplay::from_trace(trace);
+        let recorded = replay.recorded();
+        let same = replay.predict(p, 2.0, ReplayGrain::Adaptive);
+        assert!(same.at_capture_config, "p = {p}");
+        assert_eq!(same.forks, recorded.forks, "identity forks, p = {p}");
+        assert_eq!(same.steals, recorded.steals, "identity steals, p = {p}");
+        let one = replay.predict(1, 2.0, ReplayGrain::Adaptive);
+        assert_eq!(one.steals, 0, "p = {p}");
+        assert_eq!(one.scheduled, 0, "p = {p}");
+        assert_eq!(one.elided, one.forks, "p = {p}");
+        // Replay exactness against a fresh measured pool at the capture
+        // configuration: spawn counts are deterministic at fixed p.
+        let fresh = PalPool::new(p).unwrap();
+        assert_eq!(solve_wavefront(problem, &fresh).goal, expected);
+        assert_eq!(
+            same.forks,
+            fresh.metrics().forks(),
+            "fresh pool at capture p = {p}"
+        );
+        recorded_forks.push(recorded.forks);
+    }
+    recorded_forks
+}
+
+#[test]
+fn dp_wavefront_replay_is_exact_on_wide_antichains() {
+    // A 520-letter edit distance: the middle anti-diagonals exceed
+    // 2·DEFAULT_GRAIN cells, so they split into blocks and the capture
+    // holds real scope spawns (plus the dependency gather's).
+    let letters = 2 * DEFAULT_GRAIN + 8;
+    let a: Vec<u8> = (0..letters).map(|i| b"acgt"[(i * 7 + i / 3) % 4]).collect();
+    let mut b = a.clone();
+    for i in (0..letters).step_by(8) {
+        b[i] = b"acgt"[(i / 8) % 4];
+    }
+    let recorded = assert_dp_replay_exact(&EditDistance::new(a, b));
+    assert!(
+        recorded.iter().all(|&f| f > 0),
+        "no spawns captured: {recorded:?}"
+    );
 }
